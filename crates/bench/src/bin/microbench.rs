@@ -16,10 +16,9 @@
 //!   to one thread and to a multi-worker pool (see EXPERIMENTS.md
 //!   "Parallelism" for how to read these and how to pin `HAP_THREADS`).
 //! * `sparse/spmm/*` — CSR SpMM vs the dense zero-skipping GEMM on the
-//!   same `Â`, swept over `n` and edge density: the measurement behind
-//!   `hap_gnn::SPARSE_DENSITY_THRESHOLD` (EXPERIMENTS.md "Sparse vs dense
-//!   crossover"). Both paths produce byte-identical output; only time
-//!   differs.
+//!   same `Â`, swept over `n` and edge density (EXPERIMENTS.md "Sparse vs
+//!   dense crossover"). Both paths produce byte-identical output; only
+//!   time differs.
 //! * `sparse/segment_sums` / `sparse/segment_softmax` — the batched
 //!   segment reductions (`Tensor::try_segment_sums`,
 //!   `try_segment_softmax`) over a block-diagonal batch layout: one
@@ -27,8 +26,8 @@
 //!   the readout/attention companions to the batched SpMM.
 //! * `stream/update/*` — the streaming-update maintenance cost
 //!   ([`Graph::apply`]): one edge flip (remove + re-insert) on a graph
-//!   whose Â/CSR/WL caches are warm, against rebuilding the graph from
-//!   its adjacency and recomputing all three structures from scratch —
+//!   whose CSR Â and WL caches are warm, against rebuilding the graph from
+//!   its adjacency and recomputing both structures from scratch —
 //!   the exact pair of code paths `POST /update` chooses between. Swept
 //!   over `n` × edge density; both sides produce bitwise-identical
 //!   caches (crates/integration/tests/stream_determinism.rs), so the
@@ -357,7 +356,8 @@ fn parallelism(bench: &mut Bench, seed: u64) {
 /// adjacency `Â`, over a grid of `n` × edge density. Both kernels run the
 /// identical FMA sequence on the stored non-zeros (ARCHITECTURE.md
 /// "Sparse & batched execution"), so the medians isolate the cost of
-/// *visiting* zeros — the data behind `SPARSE_DENSITY_THRESHOLD`.
+/// *visiting* zeros — the data behind propagating every fixed graph
+/// through CSR.
 fn sparse_spmm(bench: &mut Bench, sizes: &[usize], seed: u64) {
     let dim = 16;
     for &n in sizes {
@@ -365,7 +365,7 @@ fn sparse_spmm(bench: &mut Bench, sizes: &[usize], seed: u64) {
             let mut rng = Rng::from_seed(seed);
             let g = generators::erdos_renyi_connected(n, p, &mut rng);
             let h = Tensor::rand_uniform(n, dim, -1.0, 1.0, &mut rng);
-            let a_hat = g.sym_norm_adjacency_cached().clone();
+            let a_hat = g.sym_norm_adjacency();
             let csr = std::sync::Arc::clone(g.csr_adjacency_cached().matrix());
             let density = csr.density();
             bench.run_pair(
@@ -381,10 +381,10 @@ fn sparse_spmm(bench: &mut Bench, sizes: &[usize], seed: u64) {
 /// Incremental cache maintenance vs from-scratch recompute under a
 /// streaming edge flip. Each incremental iteration removes one existing
 /// edge and re-inserts it through [`Graph::apply`] with every cache
-/// warm (dense Â, f64 CSR, the 1-WL state), reading all three back
-/// after each delta; the paired full iteration performs the identical
-/// two flips on a dense adjacency, rebuilds the `Graph` from scratch
-/// each time, and recomputes the same three structures. Interleaved
+/// warm (the CSR Â and the 1-WL state), reading both back after each
+/// delta; the paired full iteration performs the identical two flips on
+/// a dense adjacency, rebuilds the `Graph` from scratch each time, and
+/// recomputes the same two structures. Interleaved
 /// ([`Bench::run_pair`]) so host drift cannot bias the ratio — the
 /// number behind ROADMAP item "streaming updates" and the ≥3× gate in
 /// `scripts/bench_check.sh`.
@@ -403,7 +403,6 @@ fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
 
             // Incremental side: one long-lived graph, caches warmed once.
             let mut gi = g.clone();
-            let _ = gi.sym_norm_adjacency_cached();
             let _ = gi.csr_adjacency_cached();
             let _ = gi.wl_signature_cached(wl_iterations);
 
@@ -414,11 +413,9 @@ fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
                 &format!("stream/update/n={n}/p={p}/incremental"),
                 move || {
                     gi.apply(EdgeDelta::Remove { u, v });
-                    black_box(gi.sym_norm_adjacency_cached());
                     black_box(gi.csr_adjacency_cached());
                     black_box(gi.wl_signature_cached(wl_iterations));
                     gi.apply(EdgeDelta::Upsert { u, v, w });
-                    black_box(gi.sym_norm_adjacency_cached());
                     black_box(gi.csr_adjacency_cached());
                     black_box(gi.wl_signature_cached(wl_iterations));
                     gi.num_edges()
@@ -430,7 +427,6 @@ fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
                         adj[(u, v)] = weight;
                         adj[(v, u)] = weight;
                         let gf = Graph::from_adjacency(adj.clone());
-                        black_box(gf.sym_norm_adjacency_cached());
                         black_box(gf.csr_adjacency_cached());
                         black_box(wl_signature(&gf, wl_iterations));
                         edges = gf.num_edges();

@@ -309,13 +309,6 @@ impl<T: GraphScalar> HapMatcher<T> {
         Self { model, scale: 0.5 }
     }
 
-    /// Overrides the Eq. 22 scale parameter.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        self.scale = scale;
-        self
-    }
-
     /// The underlying hierarchy.
     pub fn model(&self) -> &HapModel<T> {
         &self.model

@@ -185,8 +185,8 @@ mod tests {
 
         // The fused CSR is the two cached CSRs stacked on the diagonal.
         let dense = batch.adjacency().to_dense();
-        let d1 = g1.sym_norm_adjacency_cached();
-        let d2 = g2.sym_norm_adjacency_cached();
+        let d1 = g1.sym_norm_adjacency();
+        let d2 = g2.sym_norm_adjacency();
         for r in 0..4 {
             for c in 0..4 {
                 assert_eq!(dense[(r, c)].to_bits(), d1[(r, c)].to_bits());
@@ -240,7 +240,7 @@ mod tests {
         let x = Tensor::<f64>::ones(5, 3);
         let batch = BatchGraph::new(&[&g], &[&x]);
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch.adjacency().to_dense(), *g.sym_norm_adjacency_cached());
+        assert_eq!(batch.adjacency().to_dense(), g.sym_norm_adjacency());
     }
 
     #[test]

@@ -8,20 +8,6 @@ use hap_rand::Rng;
 use hap_tensor::CsrMatrix;
 use std::sync::Arc;
 
-/// Density (`nnz / n²` of `Â`) at or below which a fixed-graph GCN forward
-/// propagates with CSR SpMM instead of the dense matmul.
-///
-/// Dispatch is *purely* a performance decision: the dense kernel skips zero
-/// entries in the same ascending order the CSR walk visits non-zeros, so
-/// both paths produce byte-identical values and gradients at any threshold
-/// (verified by the sparse-vs-dense differential tests). The value sits at
-/// the measured crossover of the `sparse/spmm` microbench sweep — below
-/// ~25% fill the CSR walk wins by skipping the zero-test work and the
-/// tape's dense constant copy; above it the dense kernel's simpler inner
-/// loop is at least as fast. See EXPERIMENTS.md "Sparse vs dense
-/// crossover".
-pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
-
 /// One GCN layer: `H' = σ(Â H W)` with `Â = D̃^{-1/2}(A+I)D̃^{-1/2}`
 /// (Kipf & Welling; the paper's Eq. 12).
 ///
@@ -71,31 +57,46 @@ impl<T: GraphScalar> GcnLayer<T> {
 
     /// Applies the layer: `σ(Â · H · W)`.
     ///
-    /// On a [`AdjacencyRef::Fixed`] graph whose `Â` density is at or below
-    /// [`SPARSE_DENSITY_THRESHOLD`], propagation dispatches to the cached
-    /// CSR and [`Tape::spmm`]; the result is byte-identical to the dense
-    /// path either way (see the threshold's docs).
+    /// A [`AdjacencyRef::Fixed`] graph propagates through its cached CSR
+    /// `Â` and [`Tape::spmm`]; a [`AdjacencyRef::Dynamic`] adjacency is
+    /// normalised on the tape so gradients reach the coarsened structure.
     pub fn forward(&self, tape: &mut Tape<T>, adj: AdjacencyRef<'_>, h: Var) -> Var {
-        if let AdjacencyRef::Fixed(g) = adj {
-            // Density is structural (nnz/n²), so the dispatch decision is
-            // taken on the canonical f64 CSR for every dtype.
-            if g.csr_adjacency_cached().density() <= SPARSE_DENSITY_THRESHOLD {
-                return self.forward_csr(tape, &Arc::clone(T::csr_of(g)), h);
+        match adj {
+            AdjacencyRef::Fixed(g) => self.forward_csr(tape, T::csr_of(g), h),
+            AdjacencyRef::Dynamic(a) => {
+                let a_hat = sym_norm_on_tape(tape, a);
+                let agg = tape.matmul(a_hat, h);
+                self.transform(tape, agg)
             }
         }
-        let a_hat = adj.sym_norm(tape);
-        let agg = tape.matmul(a_hat, h);
-        let lin = self.linear.forward(tape, agg);
-        self.activation.apply(tape, lin)
     }
 
     /// Applies the layer over an explicit CSR propagation matrix (a single
     /// graph's `Â` or a block-diagonal batch of them): `σ(S · H · W)`.
     pub fn forward_csr(&self, tape: &mut Tape<T>, a_hat: &Arc<CsrMatrix<T>>, h: Var) -> Var {
         let agg = tape.spmm(a_hat, h);
+        self.transform(tape, agg)
+    }
+
+    /// `σ(agg · W)`, shared by both propagation paths.
+    fn transform(&self, tape: &mut Tape<T>, agg: Var) -> Var {
         let lin = self.linear.forward(tape, agg);
         self.activation.apply(tape, lin)
     }
+}
+
+/// Records `D̃^{-1/2}(A+I)D̃^{-1/2}` of a tape-resident (dense,
+/// non-negative) adjacency, differentiably.
+fn sym_norm_on_tape<T: GraphScalar>(tape: &mut Tape<T>, a: Var) -> Var {
+    let (n, m) = tape.shape(a);
+    assert_eq!(n, m, "adjacency must be square");
+    let eye = tape.constant(hap_tensor::Tensor::eye(n));
+    let a_tilde = tape.add(a, eye);
+    let deg = tape.row_sums(a_tilde); // N×1, strictly positive
+    let inv_sqrt = tape.pow_const(deg, -0.5);
+    let left = tape.mul_col(a_tilde, inv_sqrt);
+    let inv_sqrt_row = tape.transpose(inv_sqrt);
+    tape.mul_row(left, inv_sqrt_row)
 }
 
 #[cfg(test)]
@@ -157,32 +158,36 @@ mod tests {
         hap_tensor::testutil::assert_close(&t1.value(out1), &t2.value(out2), 1e-10);
     }
 
+    /// A graph with a dense `Â` (density above 0.25) and varied degrees,
+    /// so the CSR path is checked against the dense product on a matrix
+    /// with many stored entries and distinct values.
+    fn dense_test_graph(rng: &mut Rng) -> Graph {
+        let g = generators::erdos_renyi_connected(12, 0.6, rng);
+        assert!(g.csr_adjacency_cached().matrix().density() > 0.25);
+        g
+    }
+
     #[test]
     fn sparse_dispatch_is_bitwise_equal_to_dense_path() {
         let mut rng = Rng::from_seed(9);
         let mut store = ParamStore::<f64>::new();
         let layer = GcnLayer::new(&mut store, "gcn", 4, 4, &mut rng);
-        let g = generators::erdos_renyi_connected(30, 0.08, &mut rng);
-        assert!(
-            g.csr_adjacency_cached().density() <= SPARSE_DENSITY_THRESHOLD,
-            "test graph must land on the sparse side of the dispatch"
-        );
-        let x = Tensor::rand_uniform(30, 4, -1.0, 1.0, &mut rng);
+        let g = dense_test_graph(&mut rng);
+        let x = Tensor::rand_uniform(12, 4, -1.0, 1.0, &mut rng);
 
-        // Fixed path: dispatches to CSR SpMM below the threshold.
+        // Fixed path: CSR SpMM over the cached Â.
         let mut t1 = Tape::new();
         let h1 = t1.constant(x.clone());
         let out1 = layer.forward(&mut t1, AdjacencyRef::Fixed(&g), h1);
         let l1 = t1.sum_all(out1);
         t1.backward(l1);
 
-        // Dense oracle: the pre-dispatch constant+matmul pipeline.
+        // Dense oracle: a constant Â and the dense matmul.
         let mut t2 = Tape::new();
         let h2 = t2.constant(x);
-        let a = t2.constant(g.sym_norm_adjacency_cached().clone());
+        let a = t2.constant(g.sym_norm_adjacency());
         let agg = t2.matmul(a, h2);
-        let lin = layer.linear.forward(&mut t2, agg);
-        let out2 = layer.activation.apply(&mut t2, lin);
+        let out2 = layer.transform(&mut t2, agg);
         let l2 = t2.sum_all(out2);
         t2.backward(l2);
 
@@ -204,9 +209,8 @@ mod tests {
         let mut rng = Rng::from_seed(9);
         let mut store = ParamStore::<f32>::new();
         let layer = GcnLayer::new(&mut store, "gcn", 4, 4, &mut rng);
-        let g = generators::erdos_renyi_connected(30, 0.08, &mut rng);
-        assert!(g.csr_adjacency_cached().density() <= SPARSE_DENSITY_THRESHOLD);
-        let x = Tensor::<f32>::rand_uniform(30, 4, -1.0, 1.0, &mut rng);
+        let g = dense_test_graph(&mut rng);
+        let x = Tensor::<f32>::rand_uniform(12, 4, -1.0, 1.0, &mut rng);
 
         let mut t1 = Tape::new();
         let h1 = t1.constant(x.clone());
@@ -214,10 +218,9 @@ mod tests {
 
         let mut t2 = Tape::new();
         let h2 = t2.constant(x);
-        let a = t2.constant(g.sym_norm_adjacency_cached_f32().clone());
+        let a = t2.constant(g.sym_norm_adjacency().cast());
         let agg = t2.matmul(a, h2);
-        let lin = layer.linear.forward(&mut t2, agg);
-        let out2 = layer.activation.apply(&mut t2, lin);
+        let out2 = layer.transform(&mut t2, agg);
 
         let (v1, v2) = (t1.value(out1), t2.value(out2));
         assert_eq!(v1.shape(), v2.shape());

@@ -15,16 +15,14 @@
 //!   the graph-at-a-time loop (GCN only; see
 //!   [`GnnEncoder::forward_batch`]).
 //!
-//! Fixed-graph GCN propagation dispatches to the graph's cached CSR and
-//! sparse SpMM when `Â`'s density is at or below
-//! [`SPARSE_DENSITY_THRESHOLD`] — a pure performance decision, since both
-//! paths are byte-identical (ARCHITECTURE.md "Sparse & batched
-//! execution").
+//! Fixed-graph GCN propagation runs on the graph's cached CSR `Â` with
+//! sparse SpMM, byte-identical to a dense product with the same matrix
+//! (ARCHITECTURE.md "Sparse & batched execution").
 //!
 //! ## Static vs. dynamic adjacency
 //!
 //! At the input level the graph is fixed, so propagation matrices are
-//! precomputed constants ([`AdjacencyRef::Fixed`]). After a HAP coarsening
+//! cached on the [`Graph`] ([`AdjacencyRef::Fixed`]). After a HAP coarsening
 //! step the adjacency `A' = MᵀAM` is itself a differentiable tape value
 //! ([`AdjacencyRef::Dynamic`]); layers then normalise degrees *on the
 //! tape* (via `pow_const`) so gradients flow through the coarsened
@@ -38,7 +36,7 @@ mod gcn;
 pub use batch::BatchGraph;
 pub use encoder::{EncoderKind, GnnEncoder};
 pub use gat::GatLayer;
-pub use gcn::{GcnLayer, SPARSE_DENSITY_THRESHOLD};
+pub use gcn::GcnLayer;
 
 use hap_autograd::{Tape, Var};
 use hap_graph::{Graph, GraphScalar};
@@ -51,8 +49,8 @@ use hap_graph::{Graph, GraphScalar};
 /// type requires.
 #[derive(Clone, Copy)]
 pub enum AdjacencyRef<'a> {
-    /// A fixed input graph: propagation matrices are precomputed tensors
-    /// entering the tape as constants.
+    /// A fixed input graph: layers read its cached propagation matrices
+    /// (the CSR `Â`, the raw adjacency) without recomputing them.
     Fixed(&'a Graph),
     /// A coarsened graph whose (dense, non-negative) adjacency lives on the
     /// tape; normalisation happens differentiably.
@@ -60,29 +58,6 @@ pub enum AdjacencyRef<'a> {
 }
 
 impl<'a> AdjacencyRef<'a> {
-    /// Records/loads the symmetric-normalised propagation matrix
-    /// `D̃^{-1/2}(A+I)D̃^{-1/2}` on `tape` and returns it as a `Var`.
-    pub fn sym_norm<T: GraphScalar>(&self, tape: &mut Tape<T>) -> Var {
-        match self {
-            // The fixed-graph propagation matrix is cached on the Graph:
-            // every layer and epoch reuses one computation (and the tape
-            // still records its own constant copy, so gradients/values are
-            // unchanged).
-            AdjacencyRef::Fixed(g) => tape.constant(T::sym_norm_of(g).clone()),
-            AdjacencyRef::Dynamic(a) => {
-                let (n, m) = tape.shape(*a);
-                assert_eq!(n, m, "adjacency must be square");
-                let eye = tape.constant(hap_tensor::Tensor::eye(n));
-                let a_tilde = tape.add(*a, eye);
-                let deg = tape.row_sums(a_tilde); // N×1, strictly positive
-                let inv_sqrt = tape.pow_const(deg, -0.5);
-                let left = tape.mul_col(a_tilde, inv_sqrt);
-                let inv_sqrt_row = tape.transpose(inv_sqrt);
-                tape.mul_row(left, inv_sqrt_row)
-            }
-        }
-    }
-
     /// Number of nodes of the underlying graph.
     pub fn n<T: GraphScalar>(&self, tape: &Tape<T>) -> usize {
         match self {

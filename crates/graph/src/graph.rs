@@ -1,62 +1,27 @@
 //! The core undirected graph type.
 
+use crate::csr::CsrAdjacency;
 use hap_tensor::{CsrMatrix, Scalar, Tensor};
 use std::sync::{Arc, OnceLock};
 
-/// Lazily cast `f32` mirrors of the propagation caches.
-///
-/// The graph's canonical storage stays `f64`; an `f32` forward pass needs
-/// the same derived matrices in its own dtype, and casting them per forward
-/// would undo the point of caching. Each mirror is the [`Tensor::cast`] /
-/// [`CsrMatrix::cast`] of the corresponding `f64` cache, built on first use
-/// and *maintained* (not dropped) by the edge mutators where a localised
-/// patch is possible.
+/// Lazily built structures derived from the adjacency. Equality and
+/// the edge/degree stats never look at them.
 #[derive(Clone, Debug, Default)]
-struct F32Caches {
-    sym_norm: OnceLock<Tensor<f32>>,
-    csr: OnceLock<Arc<CsrMatrix<f32>>>,
-    adj: OnceLock<Tensor<f32>>,
-}
-
-/// The cached propagation matrix together with the per-node normalisation
-/// factors it was assembled from. Keeping `inv_sqrt` around is what makes
-/// an edge flip O(n) instead of O(n²): only the two touched factors are
-/// recomputed, and only the touched rows/columns are rewritten — with the
-/// exact operation order of [`SymNorm::compute`], so the maintained matrix
-/// stays bitwise identical to a from-scratch build.
-#[derive(Clone, Debug)]
-struct SymNorm {
-    matrix: Tensor,
-    inv_sqrt: Vec<f64>,
-}
-
-impl SymNorm {
-    /// The from-scratch build — the single implementation behind
-    /// [`Graph::sym_norm_adjacency`], and the bitwise oracle the
-    /// incremental path in [`Graph::apply`] must reproduce.
-    fn compute(g: &Graph) -> SymNorm {
-        let n = g.n();
-        let mut a_tilde = g.adj.clone();
-        for i in 0..n {
-            a_tilde[(i, i)] += 1.0;
-        }
-        let inv_sqrt: Vec<f64> = (0..n)
-            .map(|i| {
-                let d: f64 = a_tilde.row(i).iter().sum();
-                1.0 / d.sqrt()
-            })
-            .collect();
-        let mut out = a_tilde;
-        for r in 0..n {
-            for c in 0..n {
-                out[(r, c)] *= inv_sqrt[r] * inv_sqrt[c];
-            }
-        }
-        SymNorm {
-            matrix: out,
-            inv_sqrt,
-        }
-    }
+struct Caches {
+    /// `D̃^{-1/2} Ã D̃^{-1/2}` (Eq. 12) in CSR form plus its `D̃^{-1/2}`
+    /// factors, shared by every GCN layer and epoch that propagates over
+    /// this graph — the one propagation matrix [`Graph::apply`] maintains.
+    csr: OnceLock<CsrAdjacency>,
+    /// Dense view of the same matrix; [`Graph::apply`] drops it rather
+    /// than patching it.
+    dense: OnceLock<Tensor>,
+    /// `f32` mirrors of the CSR and of the raw adjacency, serving
+    /// [`GraphScalar`] dispatch for single-precision forwards.
+    csr_f32: OnceLock<Arc<CsrMatrix<f32>>>,
+    adj_f32: OnceLock<Tensor<f32>>,
+    /// 1-WL refinement state ([`crate::wl::WlState`]), ball-locally
+    /// recoloured by the mutators.
+    wl: OnceLock<crate::wl::WlState>,
 }
 
 /// A single edge mutation for [`Graph::apply`].
@@ -94,12 +59,12 @@ pub enum EdgeDelta {
 ///
 /// # Streaming mutation
 /// [`Graph::apply`] (which `add_weighted_edge`/`remove_edge` delegate to)
-/// *maintains* every derived cache incrementally instead of dropping it:
-/// the dense Â gets a rank-1-style row/column renormalisation, the CSR
-/// mirror an O(deg) row splice, and the cached WL refinement a ball-local
-/// recolouring — each bitwise identical to a from-scratch recompute (the
-/// repo's standing determinism contract). No-op mutations (same stored
-/// bits) leave every cache untouched.
+/// *maintains* the propagation matrix and the WL state incrementally
+/// instead of dropping them: the CSR `Â` gets its touched rows rebuilt
+/// and its touched columns renormalised, and the cached WL refinement a
+/// ball-local recolouring — each bitwise identical to a from-scratch
+/// recompute (the repo's standing determinism contract). No-op mutations
+/// (same stored bits) leave every cache untouched.
 #[derive(Clone, Debug)]
 pub struct Graph {
     adj: Tensor,
@@ -111,22 +76,10 @@ pub struct Graph {
     /// Maintained per-node incident-edge counts (the unweighted degrees),
     /// same lockstep contract.
     degree_table: Vec<usize>,
-    /// Lazily computed `D̃^{-1/2} Ã D̃^{-1/2}` (Eq. 12) plus its `D̃^{-1/2}`
-    /// factors, shared by every GCN layer and epoch that propagates over
-    /// this graph. Incrementally renormalised by the edge mutators.
-    sym_norm_cache: OnceLock<SymNorm>,
-    /// Lazily built CSR form of the same matrix (see
-    /// [`crate::csr::CsrAdjacency`]), row-spliced by the same mutators.
-    csr_cache: OnceLock<crate::csr::CsrAdjacency>,
-    /// `f32` mirrors of the above (plus the raw adjacency), serving
-    /// [`GraphScalar`] dispatch for single-precision forwards.
-    f32_caches: F32Caches,
-    /// Lazily built 1-WL refinement state ([`crate::wl::WlState`]),
-    /// ball-locally recoloured by the mutators.
-    wl_cache: OnceLock<crate::wl::WlState>,
+    caches: Caches,
 }
 
-/// Equality is structural: the cache is derived state and never compared.
+/// Equality is structural: the caches are derived state and never compared.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.adj == other.adj && self.node_labels == other.node_labels
@@ -155,10 +108,7 @@ impl Graph {
             node_labels,
             edge_count,
             degree_table,
-            sym_norm_cache: OnceLock::new(),
-            csr_cache: OnceLock::new(),
-            f32_caches: F32Caches::default(),
-            wl_cache: OnceLock::new(),
+            caches: Caches::default(),
         }
     }
 
@@ -169,10 +119,7 @@ impl Graph {
             node_labels: None,
             edge_count: 0,
             degree_table: vec![0; n],
-            sym_norm_cache: OnceLock::new(),
-            csr_cache: OnceLock::new(),
-            f32_caches: F32Caches::default(),
-            wl_cache: OnceLock::new(),
+            caches: Caches::default(),
         }
     }
 
@@ -214,7 +161,7 @@ impl Graph {
     pub fn with_node_labels(mut self, labels: Vec<usize>) -> Self {
         assert_eq!(labels.len(), self.n(), "one label per node required");
         self.node_labels = Some(labels);
-        self.wl_cache = OnceLock::new();
+        self.caches.wl = OnceLock::new();
         self
     }
 
@@ -260,9 +207,10 @@ impl Graph {
         self.apply(EdgeDelta::Remove { u, v });
     }
 
-    /// Applies one edge mutation, incrementally maintaining every cached
-    /// derived structure (dense Â + its `D̃^{-1/2}` factors, the CSR and
-    /// `f32` mirrors, the WL refinement state) and the edge/degree stats.
+    /// Applies one edge mutation, incrementally maintaining the cached CSR
+    /// `Â` (with its `D̃^{-1/2}` factors), the `f32` adjacency mirror, the
+    /// WL refinement state and the edge/degree stats; the dense `Â` view
+    /// and the `f32` CSR are dropped and rebuilt on their next read.
     /// Returns `true` when the graph changed.
     ///
     /// No-op detection is bit-level: writing the weight a slot already
@@ -317,91 +265,23 @@ impl Graph {
     fn refresh_caches(&mut self, u: usize, v: usize) {
         let pair = [u.min(v), u.max(v)];
         let touched: &[usize] = if u == v { &pair[..1] } else { &pair };
-        let n = self.adj.rows();
-
-        // Dense Â: recompute the touched D̃^{-1/2} factors with the exact
-        // summation sequence of SymNorm::compute, then rewrite the touched
-        // rows and columns with its exact factor order
-        // (`a * (inv_sqrt[row] * inv_sqrt[col])`).
-        if let Some(sn) = self.sym_norm_cache.get_mut() {
-            for &t in touched {
-                let mut d = 0.0;
-                for (c, &a) in self.adj.row(t).iter().enumerate() {
-                    d += if c == t { a + 1.0 } else { a };
-                }
-                sn.inv_sqrt[t] = 1.0 / d.sqrt();
-            }
-            for &t in touched {
-                for c in 0..n {
-                    let a = self.adj[(t, c)] + if c == t { 1.0 } else { 0.0 };
-                    sn.matrix[(t, c)] = a * (sn.inv_sqrt[t] * sn.inv_sqrt[c]);
-                }
-                for r in 0..n {
-                    if touched.contains(&r) {
-                        continue;
-                    }
-                    sn.matrix[(r, t)] = self.adj[(r, t)] * (sn.inv_sqrt[r] * sn.inv_sqrt[t]);
-                }
-            }
+        if let Some(csr) = self.caches.csr.get_mut() {
+            csr.apply_edge(&self.adj, touched);
         }
-
-        // CSR: splice the touched rows out of the maintained dense matrix;
-        // fall back to a full recompress when the structure changed
-        // outside them (underflow corner) or the dense cache is absent.
-        // Always a fresh Arc — holders of the old one keep the old matrix.
-        if self.csr_cache.get().is_some() {
-            let new_matrix = match self.sym_norm_cache.get() {
-                Some(sn) => {
-                    let old = self.csr_cache.get().expect("checked above").matrix();
-                    old.splice_from_dense(&sn.matrix, touched)
-                        .unwrap_or_else(|| CsrMatrix::from_dense(&sn.matrix))
-                }
-                None => CsrMatrix::from_dense(&SymNorm::compute(self).matrix),
-            };
-            self.csr_cache = OnceLock::new();
-            let _ = self
-                .csr_cache
-                .set(crate::csr::CsrAdjacency::from_matrix(Arc::new(new_matrix)));
-        }
-
-        // f32 dense mirror: re-cast the touched rows/columns entrywise
-        // from the maintained f64 matrix (the same per-entry conversion a
-        // full `Tensor::cast` performs).
-        if self.f32_caches.sym_norm.get().is_some() {
-            match self.sym_norm_cache.get() {
-                Some(sn) => {
-                    let m32 = self.f32_caches.sym_norm.get_mut().expect("checked above");
-                    for &t in touched {
-                        for c in 0..n {
-                            m32[(t, c)] = <f32 as Scalar>::from_f64(sn.matrix[(t, c)]);
-                        }
-                        for r in 0..n {
-                            if touched.contains(&r) {
-                                continue;
-                            }
-                            m32[(r, t)] = <f32 as Scalar>::from_f64(sn.matrix[(r, t)]);
-                        }
-                    }
-                }
-                None => self.f32_caches.sym_norm = OnceLock::new(),
-            }
-        }
-
-        // f32 CSR mirror: dropping it is already incremental — the lazy
-        // rebuild is an O(nnz) cast of the maintained f64 CSR, not a dense
-        // rescan.
-        self.f32_caches.csr = OnceLock::new();
-
+        // The dense view is rebuilt from scratch if anything reads it
+        // again; the f32 CSR's lazy rebuild is an O(nnz) cast of the
+        // maintained f64 CSR, not a dense rescan.
+        self.caches.dense = OnceLock::new();
+        self.caches.csr_f32 = OnceLock::new();
         // f32 adjacency mirror: two entries.
-        if let Some(a32) = self.f32_caches.adj.get_mut() {
+        if let Some(a32) = self.caches.adj_f32.get_mut() {
             a32[(u, v)] = <f32 as Scalar>::from_f64(self.adj[(u, v)]);
             a32[(v, u)] = <f32 as Scalar>::from_f64(self.adj[(v, u)]);
         }
-
         // WL refinement state: recolour the ball around the flip.
-        if let Some(mut state) = self.wl_cache.take() {
+        if let Some(mut state) = self.caches.wl.take() {
             state.refresh(self, u, v);
-            let _ = self.wl_cache.set(state);
+            let _ = self.caches.wl.set(state);
         }
     }
 
@@ -482,61 +362,64 @@ impl Graph {
     }
 
     /// The GCN propagation matrix `D̃^{-1/2} Ã D̃^{-1/2}` with
-    /// `Ã = A + I` (Eq. 12). Isolated nodes degrade gracefully: their
-    /// self-loop gives `D̃_ii = 1`.
-    pub fn sym_norm_adjacency(&self) -> Tensor {
-        SymNorm::compute(self).matrix
-    }
-
-    /// Cached borrow of [`Graph::sym_norm_adjacency`].
+    /// `Ã = A + I` (Eq. 12), computed densely and uncached. Isolated nodes
+    /// degrade gracefully: their self-loop gives `D̃_ii = 1`.
     ///
-    /// The propagation matrix is a pure function of the adjacency, yet
-    /// every GCN layer of every epoch needs it — computing it once per
-    /// graph instead of once per forward removes an `O(n²)` allocation and
-    /// two passes over the matrix from the training hot path. The first
-    /// call computes and stores it; edge mutations ([`Graph::apply`] and
-    /// its `add_weighted_edge`/`remove_edge` wrappers) renormalise the
-    /// touched rows/columns in place, bitwise identical to a recompute.
+    /// This is the oracle the maintained CSR form
+    /// ([`Graph::csr_adjacency_cached`]) is bitwise equal to after
+    /// compression.
+    pub fn sym_norm_adjacency(&self) -> Tensor {
+        let n = self.n();
+        let mut a_tilde = self.adj.clone();
+        for i in 0..n {
+            a_tilde[(i, i)] += 1.0;
+        }
+        let inv_sqrt: Vec<f64> = (0..n)
+            .map(|i| {
+                let d: f64 = a_tilde.row(i).iter().sum();
+                1.0 / d.sqrt()
+            })
+            .collect();
+        let mut out = a_tilde;
+        for r in 0..n {
+            for c in 0..n {
+                out[(r, c)] *= inv_sqrt[r] * inv_sqrt[c];
+            }
+        }
+        out
+    }
+
+    /// A lazily built dense view of [`Graph::sym_norm_adjacency`], kept
+    /// for callers that want the matrix dense. GCN propagation reads the
+    /// CSR form instead, so [`Graph::apply`] drops this view rather than
+    /// patching it.
     pub fn sym_norm_adjacency_cached(&self) -> &Tensor {
-        &self
-            .sym_norm_cache
-            .get_or_init(|| SymNorm::compute(self))
-            .matrix
+        self.caches.dense.get_or_init(|| self.sym_norm_adjacency())
     }
 
-    /// Cached CSR form of [`Graph::sym_norm_adjacency_cached`], built once
-    /// per graph and shared across layers and tapes via its inner `Arc`.
-    /// Edge mutations splice the touched rows into a fresh `Arc`, so the
-    /// two representations can never disagree and existing holders never
+    /// The cached CSR propagation matrix, built once per graph straight
+    /// from the adjacency and shared across layers and tapes via its inner
+    /// `Arc`. Edge mutations rebuild the touched rows into a fresh `Arc`,
+    /// bitwise equal to a from-scratch build, so existing holders never
     /// observe mutation.
-    pub fn csr_adjacency_cached(&self) -> &crate::csr::CsrAdjacency {
-        self.csr_cache
-            .get_or_init(|| crate::csr::CsrAdjacency::from_graph(self))
-    }
-
-    /// `f32` mirror of [`Graph::sym_norm_adjacency_cached`]: the `f64`
-    /// propagation matrix cast entrywise, cached on first use and patched
-    /// entrywise by mutations.
-    pub fn sym_norm_adjacency_cached_f32(&self) -> &Tensor<f32> {
-        self.f32_caches
-            .sym_norm
-            .get_or_init(|| self.sym_norm_adjacency_cached().cast())
+    pub fn csr_adjacency_cached(&self) -> &CsrAdjacency {
+        self.caches
+            .csr
+            .get_or_init(|| CsrAdjacency::from_graph(self))
     }
 
     /// `f32` mirror of [`Graph::csr_adjacency_cached`]'s matrix. The cast
     /// recompresses entries that round to `0.0f32`, preserving the CSR
-    /// no-stored-zero invariant — and the dense `f32` kernel skips exactly
-    /// those zeros, so sparse and dense `f32` propagation stay
-    /// byte-identical just like the `f64` pair.
+    /// no-stored-zero invariant.
     pub fn csr_adjacency_cached_f32(&self) -> &Arc<CsrMatrix<f32>> {
-        self.f32_caches
-            .csr
+        self.caches
+            .csr_f32
             .get_or_init(|| Arc::new(self.csr_adjacency_cached().matrix().cast()))
     }
 
     /// `f32` mirror of [`Graph::adjacency`], cached on first use.
     pub fn adjacency_f32(&self) -> &Tensor<f32> {
-        self.f32_caches.adj.get_or_init(|| self.adj.cast())
+        self.caches.adj_f32.get_or_init(|| self.adj.cast())
     }
 
     /// Cached 1-WL histogram at `iterations` rounds (see
@@ -548,7 +431,8 @@ impl Graph {
     /// the cache (one fixed count per deployment is the expected shape).
     pub fn wl_signature_cached(&self, iterations: usize) -> Arc<crate::wl::WlSignature> {
         let state = self
-            .wl_cache
+            .caches
+            .wl
             .get_or_init(|| crate::wl::WlState::build(self, iterations));
         if state.iterations() == iterations {
             state.signature()
@@ -630,25 +514,20 @@ impl Graph {
 
 /// Scalar types a GNN layer can propagate a fixed [`Graph`] in.
 ///
-/// A `Graph` stores its adjacency (and derived propagation caches) in
-/// `f64`; generic layers need the same matrices in *their* element type
+/// A `Graph` stores its adjacency (and its cached CSR propagation matrix)
+/// in `f64`; generic layers need the same matrices in *their* element type
 /// without a per-forward cast. This trait is the dtype dispatch point:
 /// `f64` serves the canonical caches, `f32` serves the lazily cast mirrors
 /// cached on the same graph. It is implemented for exactly the two
 /// [`Scalar`] types and is not meant to be implemented downstream.
 pub trait GraphScalar: Scalar {
-    /// The cached dense propagation matrix `D̃^{-1/2}ÃD̃^{-1/2}` in `Self`.
-    fn sym_norm_of(g: &Graph) -> &Tensor<Self>;
-    /// The cached CSR form of the same matrix in `Self`.
+    /// The cached CSR propagation matrix `D̃^{-1/2}ÃD̃^{-1/2}` in `Self`.
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<Self>>;
     /// The raw adjacency `A` (no self-loops) in `Self`.
     fn adjacency_of(g: &Graph) -> &Tensor<Self>;
 }
 
 impl GraphScalar for f64 {
-    fn sym_norm_of(g: &Graph) -> &Tensor<f64> {
-        g.sym_norm_adjacency_cached()
-    }
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<f64>> {
         g.csr_adjacency_cached().matrix()
     }
@@ -658,9 +537,6 @@ impl GraphScalar for f64 {
 }
 
 impl GraphScalar for f32 {
-    fn sym_norm_of(g: &Graph) -> &Tensor<f32> {
-        g.sym_norm_adjacency_cached_f32()
-    }
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<f32>> {
         g.csr_adjacency_cached_f32()
     }
@@ -754,7 +630,7 @@ mod tests {
         // second call must serve the same cached value
         assert_eq!(*g.sym_norm_adjacency_cached(), cached);
 
-        // adding an edge must refresh the cache
+        // adding an edge must drop the dense view, so the next read is fresh
         let mut bigger = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0)]);
         let before = bigger.sym_norm_adjacency_cached().clone();
         bigger.add_edge(2, 3);
@@ -776,26 +652,23 @@ mod tests {
     fn f32_caches_are_casts_and_are_not_stale_after_mutation() {
         let mut g = triangle();
         // Every f32 mirror is the entrywise cast of its f64 counterpart.
-        let s32 = g.sym_norm_adjacency_cached_f32().clone();
-        assert_eq!(s32, g.sym_norm_adjacency_cached().cast());
-        assert_eq!(
-            g.csr_adjacency_cached_f32().to_dense(),
-            g.sym_norm_adjacency_cached().cast()
-        );
+        let csr32 = Arc::clone(g.csr_adjacency_cached_f32());
+        assert_eq!(*csr32, g.csr_adjacency_cached().matrix().cast());
+        assert_eq!(csr32.to_dense(), g.sym_norm_adjacency().cast());
         assert_eq!(*g.adjacency_f32(), g.adjacency().cast());
 
         // GraphScalar dispatch serves the same cached references.
-        assert_eq!(*<f32 as GraphScalar>::sym_norm_of(&g), s32);
-        assert_eq!(
-            *<f64 as GraphScalar>::sym_norm_of(&g),
-            *g.sym_norm_adjacency_cached()
-        );
+        assert!(Arc::ptr_eq(<f32 as GraphScalar>::csr_of(&g), &csr32));
+        assert!(Arc::ptr_eq(
+            <f64 as GraphScalar>::csr_of(&g),
+            g.csr_adjacency_cached().matrix()
+        ));
 
         // Edge mutation must refresh the f32 mirrors along with the f64
         // caches.
         g.remove_edge(0, 1);
         assert_eq!(
-            *g.sym_norm_adjacency_cached_f32(),
+            g.csr_adjacency_cached_f32().to_dense(),
             g.sym_norm_adjacency().cast()
         );
         assert_eq!(*g.adjacency_f32(), g.adjacency().cast());
@@ -806,7 +679,7 @@ mod tests {
         let mut g = triangle();
         let dense_ptr = g.sym_norm_adjacency_cached().as_slice().as_ptr();
         let csr_arc = Arc::clone(g.csr_adjacency_cached().matrix());
-        let f32_ptr = g.sym_norm_adjacency_cached_f32().as_slice().as_ptr();
+        let csr32_arc = Arc::clone(g.csr_adjacency_cached_f32());
         let adj32_ptr = g.adjacency_f32().as_slice().as_ptr();
         let wl = g.wl_signature_cached(3);
 
@@ -818,16 +691,13 @@ mod tests {
         g.add_edge(0, 1); // wrapper form of the same no-ops
         g.remove_edge(2, 2);
         let mut h = Graph::from_edges(3, &[(0, 1)]);
-        let h_ptr = h.sym_norm_adjacency_cached().as_slice().as_ptr();
+        let h_arc = Arc::clone(h.csr_adjacency_cached().matrix());
         h.remove_edge(1, 2); // absent edge between distinct nodes
-        assert_eq!(h.sym_norm_adjacency_cached().as_slice().as_ptr(), h_ptr);
+        assert!(Arc::ptr_eq(&h_arc, h.csr_adjacency_cached().matrix()));
 
         assert_eq!(g.sym_norm_adjacency_cached().as_slice().as_ptr(), dense_ptr);
         assert!(Arc::ptr_eq(&csr_arc, g.csr_adjacency_cached().matrix()));
-        assert_eq!(
-            g.sym_norm_adjacency_cached_f32().as_slice().as_ptr(),
-            f32_ptr
-        );
+        assert!(Arc::ptr_eq(&csr32_arc, g.csr_adjacency_cached_f32()));
         assert_eq!(g.adjacency_f32().as_slice().as_ptr(), adj32_ptr);
         assert!(Arc::ptr_eq(&wl, &g.wl_signature_cached(3)));
 
@@ -913,6 +783,18 @@ mod tests {
         }
     }
 
+    /// Row-by-row `(columns, value bits)` of a CSR matrix: bitwise
+    /// equality that also holds for NaN entries.
+    fn csr_bits<T: Scalar>(m: &CsrMatrix<T>) -> Vec<(Vec<usize>, Vec<u64>)> {
+        (0..m.rows())
+            .map(|r| {
+                let (cols, vals) = m.row(r);
+                let bits = vals.iter().map(|v| v.to_f64().to_bits()).collect();
+                (cols.to_vec(), bits)
+            })
+            .collect()
+    }
+
     #[test]
     fn incremental_caches_are_bitwise_equal_to_fresh_recompute() {
         let mut rng = Rng::from_seed(96);
@@ -920,44 +802,47 @@ mod tests {
         let mut g = Graph::empty(n);
         // Warm every cache so mutations exercise the maintenance paths.
         g.add_edge(0, 1);
-        for step in 0..120 {
-            let _ = g.sym_norm_adjacency_cached();
+        for step in 0..400 {
             let _ = g.csr_adjacency_cached();
-            let _ = g.sym_norm_adjacency_cached_f32();
             let _ = g.csr_adjacency_cached_f32();
             let _ = g.adjacency_f32();
             let _ = g.wl_signature_cached(3);
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
-            let w = match rng.gen_range(0..3u32) {
+            // Beyond plain weights: negative ones (degrees can reach zero
+            // or go negative, giving non-finite D̃^{-1/2} factors), -0.0,
+            // weights that underflow a normalised entry or overflow a
+            // factor product, and the -1 self-loop that zeroes Ã's
+            // diagonal.
+            let w = match rng.gen_range(0..8u32) {
                 0 => 0.0,
                 1 => 1.0,
+                2 => -0.0,
+                3 => -(rng.gen_f64() + 0.25),
+                4 => 1e-300,
+                5 => 5e-324,
+                6 if u == v => -1.0,
                 _ => rng.gen_f64() + 0.25,
             };
             g.apply(EdgeDelta::Upsert { u, v, w });
 
-            // A fresh graph with the same adjacency is the from-scratch
-            // oracle for every cache.
+            // A fresh graph with the same adjacency, and the compressed
+            // dense oracle, are the from-scratch references.
             let fresh = Graph::from_adjacency(g.adjacency().clone());
-            let (a, b) = (g.sym_norm_adjacency_cached(), fresh.sym_norm_adjacency());
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "dense Â diverged at step {step}");
-            }
+            let oracle = csr_bits(&CsrMatrix::from_dense(&fresh.sym_norm_adjacency()));
             assert_eq!(
-                **g.csr_adjacency_cached().matrix(),
-                **fresh.csr_adjacency_cached().matrix(),
-                "CSR diverged at step {step}"
+                csr_bits(g.csr_adjacency_cached().matrix()),
+                oracle,
+                "maintained CSR diverged at step {step}"
             );
-            let (a32, b32) = (
-                g.sym_norm_adjacency_cached_f32(),
-                fresh.sym_norm_adjacency_cached_f32(),
-            );
-            for (x, y) in a32.as_slice().iter().zip(b32.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "f32 Â diverged at step {step}");
-            }
             assert_eq!(
-                **g.csr_adjacency_cached_f32(),
-                **fresh.csr_adjacency_cached_f32(),
+                csr_bits(fresh.csr_adjacency_cached().matrix()),
+                oracle,
+                "fresh CSR build diverged at step {step}"
+            );
+            assert_eq!(
+                csr_bits(&**g.csr_adjacency_cached_f32()),
+                csr_bits(&**fresh.csr_adjacency_cached_f32()),
                 "f32 CSR diverged at step {step}"
             );
             assert_eq!(

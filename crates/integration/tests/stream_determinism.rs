@@ -1,8 +1,9 @@
 //! Streaming-update determinism: a graph mutated through
 //! [`hap_graph::Graph::apply`] must hold *bitwise* the same cached
-//! structures — dense Â, CSR, the f32 mirrors, the 1-WL signature, and
-//! the maintained edge/degree stats — as a graph rebuilt from scratch
-//! from the same adjacency. The contract is exact equality of bytes,
+//! structures — the CSR Â (against the compressed dense oracle
+//! `sym_norm_adjacency()`), the f32 mirrors, the 1-WL signature, and the
+//! maintained edge/degree stats — as a graph rebuilt from scratch from
+//! the same adjacency. The contract is exact equality of bytes,
 //! not approximate agreement: the incremental paths replay the oracle's
 //! floating-point operation order on the touched rows, so any drift is
 //! a bug, and `scripts/ci.sh` runs this suite under `HAP_THREADS=1` and
@@ -52,37 +53,35 @@ fn assert_matches_fresh(g: &Graph, wl_iterations: usize, step: usize) {
         );
     }
 
-    // Dense Â, bitwise.
-    let inc = g.sym_norm_adjacency_cached();
-    let scratch = fresh.sym_norm_adjacency_cached();
-    for (i, (a, b)) in inc.as_slice().iter().zip(scratch.as_slice()).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "step {step}: dense Â entry {i} ({a} vs {b})"
-        );
-    }
-
-    // CSR, spliced vs rebuilt.
+    // CSR Â, maintained vs the compressed dense oracle (and the fresh
+    // graph's own build against the same oracle).
+    let oracle = CsrMatrix::from_dense(&fresh.sym_norm_adjacency());
     assert_csr_bitwise(
         g.csr_adjacency_cached().matrix(),
-        fresh.csr_adjacency_cached().matrix(),
+        &oracle,
         &format!("step {step}: f64 CSR"),
     );
+    assert_csr_bitwise(
+        fresh.csr_adjacency_cached().matrix(),
+        &oracle,
+        &format!("step {step}: fresh f64 CSR"),
+    );
 
-    // f32 mirrors.
+    // The dense view is dropped by mutation and rebuilt on read.
     for (i, (a, b)) in g
-        .sym_norm_adjacency_cached_f32()
+        .sym_norm_adjacency_cached()
         .as_slice()
         .iter()
-        .zip(fresh.sym_norm_adjacency_cached_f32().as_slice())
+        .zip(fresh.sym_norm_adjacency().as_slice())
         .enumerate()
     {
-        assert_eq!(a.to_bits(), b.to_bits(), "step {step}: f32 Â entry {i}");
+        assert_eq!(a.to_bits(), b.to_bits(), "step {step}: dense Â entry {i}");
     }
+
+    // f32 mirrors.
     assert_csr_bitwise(
         g.csr_adjacency_cached_f32(),
-        fresh.csr_adjacency_cached_f32(),
+        &oracle.cast(),
         &format!("step {step}: f32 CSR"),
     );
     for (i, (a, b)) in g
@@ -106,12 +105,16 @@ fn assert_matches_fresh(g: &Graph, wl_iterations: usize, step: usize) {
 
 /// One random delta. Mixes real inserts/deletes/reweights with
 /// deliberate bit-level no-ops (removing absent edges, re-upserting the
-/// current weight) and the occasional self-loop.
-fn random_delta(g: &Graph, rng: &mut Rng) -> EdgeDelta {
+/// current weight) and the occasional self-loop. With `hostile`, weights
+/// also go negative (degrees can reach zero or below, so `D̃^{-1/2}`
+/// factors turn non-finite), `-0.0`, tiny enough to underflow or to
+/// overflow a factor product, and self-loops of `-1` zero Ã's diagonal.
+fn random_delta(g: &Graph, rng: &mut Rng, hostile: bool) -> EdgeDelta {
     let n = g.n();
     let u = rng.gen_range(0..n);
     let v = rng.gen_range(0..n);
-    match rng.gen_range(0..10usize) {
+    let arms: usize = if hostile { 14 } else { 10 };
+    match rng.gen_range(0..arms) {
         // Insert / reweight with a handful of distinct weights.
         0..=3 => EdgeDelta::Upsert {
             u,
@@ -128,7 +131,15 @@ fn random_delta(g: &Graph, rng: &mut Rng) -> EdgeDelta {
             w: g.adjacency()[(u, v)],
         },
         // Self-loop churn.
-        _ => EdgeDelta::Upsert { u: v, v, w: 1.0 },
+        9 => EdgeDelta::Upsert { u: v, v, w: 1.0 },
+        10 => EdgeDelta::Upsert {
+            u,
+            v,
+            w: [-1.0, -0.5, -0.0][rng.gen_range(0..3usize)],
+        },
+        11 => EdgeDelta::Upsert { u, v, w: 1e-300 },
+        12 => EdgeDelta::Upsert { u, v, w: 5e-324 },
+        _ => EdgeDelta::Upsert { u: v, v, w: -1.0 },
     }
 }
 
@@ -143,14 +154,12 @@ fn fuzzed_mutation_streams_keep_every_cache_bitwise_fresh() {
         let mut g = hap_graph::erdos_renyi(n, p, &mut rng);
         // Warm every cache up front so each delta exercises the
         // incremental maintenance paths, not lazy rebuilds.
-        let _ = g.sym_norm_adjacency_cached();
         let _ = g.csr_adjacency_cached();
-        let _ = g.sym_norm_adjacency_cached_f32();
         let _ = g.csr_adjacency_cached_f32();
         let _ = g.adjacency_f32();
         let _ = g.wl_signature_cached(wl_iterations);
         for step in 0..160 {
-            g.apply(random_delta(&g, &mut rng));
+            g.apply(random_delta(&g, &mut rng, true));
             // Interleave occasional reads mid-stream (the serving access
             // pattern), and check the full contract every few steps.
             if step % 3 == 0 {
@@ -171,11 +180,11 @@ fn batched_deltas_commute_with_a_single_rebuild() {
     // independent of batch boundaries.
     let mut rng = Rng::from_seed(91);
     let mut g = hap_graph::erdos_renyi(20, 0.2, &mut rng);
-    let _ = g.sym_norm_adjacency_cached();
+    let _ = g.csr_adjacency_cached();
     let _ = g.wl_signature_cached(3);
     for batch in 0..12 {
         for _ in 0..16 {
-            g.apply(random_delta(&g, &mut rng));
+            g.apply(random_delta(&g, &mut rng, true));
         }
         assert_matches_fresh(&g, 3, batch);
     }
@@ -184,7 +193,7 @@ fn batched_deltas_commute_with_a_single_rebuild() {
 #[test]
 fn mutated_graph_embeds_bitwise_like_a_fresh_copy() {
     // End to end through the model: the HAP forward pass consumes the
-    // cached Â (dense or CSR, by density dispatch), so a stream of
+    // cached CSR Â, so a stream of
     // incremental updates must leave the *embedding* bitwise equal to
     // embedding a freshly rebuilt graph. This is the property the
     // streaming /update route leans on.
@@ -201,11 +210,10 @@ fn mutated_graph_embeds_bitwise_like_a_fresh_copy() {
 
     let mut graph_rng = Rng::from_seed(17);
     let mut g = hap_graph::erdos_renyi(22, 0.18, &mut graph_rng);
-    let _ = g.sym_norm_adjacency_cached();
     let _ = g.csr_adjacency_cached();
     for round in 0..6 {
         for _ in 0..9 {
-            g.apply(random_delta(&g, &mut graph_rng));
+            g.apply(random_delta(&g, &mut graph_rng, false));
         }
         let fresh = Graph::from_adjacency(g.adjacency().clone());
         let features = degree_one_hot(&g, 8);

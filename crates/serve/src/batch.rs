@@ -11,9 +11,11 @@
 //! ([`ModelService::classify_batch`]; ARCHITECTURE.md "Sparse & batched
 //! execution"), so batching amortises the model compute itself — not just
 //! channel wake-ups — while staying byte-identical per graph to the
-//! graph-at-a-time loop. Responses are pure functions of the request
-//! payload, which is what makes replayed traffic byte-identical at any
-//! worker count and any batch composition.
+//! graph-at-a-time loop. Responses are a deterministic function of the
+//! request stream (not of each payload alone: the embedding cache may
+//! answer a graph with the cached embedding of an earlier
+//! 1-WL-equivalent one), which is what makes replayed traffic
+//! byte-identical at any worker count and any batch composition.
 
 use crate::json::{num, num_array};
 use crate::server::ServeError;
@@ -287,14 +289,7 @@ fn run_loop<T: GraphScalar>(
 
 fn handle_job<T: GraphScalar>(svc: &mut ModelService<T>, job: Job) -> Result<String, String> {
     match job {
-        Job::Classify(mut g) => {
-            clamp_labels(&mut g, svc.in_dim());
-            let Classification { label, logits } = svc.classify(&g).map_err(|e| e.to_string())?;
-            Ok(format!(
-                "{{\"label\":{label},\"logits\":{}}}",
-                num_array(&logits)
-            ))
-        }
+        Job::Classify(_) => unreachable!("run_loop routes every Classify job to classify_batch"),
         Job::Similarity(mut a, mut b) => {
             clamp_labels(&mut a, svc.in_dim());
             clamp_labels(&mut b, svc.in_dim());

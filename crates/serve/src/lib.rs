@@ -21,11 +21,15 @@
 //! * [`server`] — accept loop, worker pool, routing, `/healthz`,
 //!   `/metrics`, and clean shutdown.
 //!
-//! Determinism contract: response bodies are pure functions of the
-//! request payload — no timestamps, no cache-hit markers, no
+//! Determinism contract: response bodies are a deterministic function of
+//! the request *stream* — no timestamps, no cache-hit markers, no
 //! thread-dependent float orderings — so identical request streams
 //! produce byte-identical responses at any `HAP_THREADS` setting. The
-//! loadgen harness in `hap-bench` asserts exactly that.
+//! loadgen harness in `hap-bench` asserts exactly that. A body is *not*
+//! a pure function of its own payload: the embedding cache is keyed by
+//! [`hap_graph::wl_cache_key`], whose collision contract lets a graph be
+//! answered with the cached embedding of an earlier 1-WL-equivalent
+//! graph, so what a request gets back can depend on what came before it.
 
 #![deny(missing_docs)]
 

@@ -100,14 +100,4 @@ pub mod testutil {
             }
         }
     }
-
-    /// [`assert_close`] at the dtype's [`default_tol`] — the form the
-    /// cross-dtype differential suites use so per-dtype tolerance logic
-    /// lives in one place.
-    ///
-    /// # Panics
-    /// Panics like [`assert_close`].
-    pub fn assert_close_default<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) {
-        assert_close(a, b, default_tol::<T>());
-    }
 }

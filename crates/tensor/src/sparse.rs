@@ -49,17 +49,31 @@ impl<T: Scalar> CsrMatrix<T> {
     /// ```
     pub fn from_dense(dense: &Tensor<T>) -> CsrMatrix<T> {
         let (rows, cols) = dense.shape();
+        Self::from_row_entries(rows, cols, |r| dense.row(r).iter().copied().enumerate())
+    }
+
+    /// Assembles a matrix row by row: `row(r)` yields row `r`'s
+    /// `(column, value)` pairs in strictly ascending column order. Every
+    /// `0.0` value (including negative zero) is dropped, so the
+    /// no-stored-zero invariant holds by construction — a caller can
+    /// enumerate candidate entries without pre-filtering them.
+    ///
+    /// # Panics
+    /// Panics when a column is `>= cols` or not strictly greater than the
+    /// previous stored column of its row.
+    pub fn from_row_entries<I>(
+        rows: usize,
+        cols: usize,
+        mut row: impl FnMut(usize) -> I,
+    ) -> CsrMatrix<T>
+    where
+        I: IntoIterator<Item = (usize, T)>,
+    {
         let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
         indptr.push(0);
         for r in 0..rows {
-            for (c, &v) in dense.row(r).iter().enumerate() {
-                if v != T::ZERO {
-                    indices.push(c);
-                    values.push(v);
-                }
-            }
+            push_row(&mut indices, &mut values, cols, r, row(r));
             indptr.push(indices.len());
         }
         CsrMatrix {
@@ -71,67 +85,58 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Re-compresses only the `touched` rows of `dense`, splicing the
-    /// untouched rows through from `self` — the O(deg) update path for a
-    /// localised edit (an edge flip touches two rows of Â plus the two
-    /// matching columns of every other row).
-    ///
-    /// Precondition: `dense` differs from the matrix `self` represents
-    /// only within the `touched` rows and the `touched` columns. Under
-    /// that contract the result is **bitwise equal** to
-    /// [`CsrMatrix::from_dense`] on `dense`: touched rows are recompressed
-    /// by the exact `from_dense` loop, and untouched rows keep their
-    /// column structure with values patched at the touched columns.
-    ///
-    /// Returns `None` (caller falls back to a full `from_dense`) when the
-    /// shapes disagree, or when the sparsity *structure* changed outside a
-    /// touched row — an entry appearing or vanishing at a touched column
-    /// of an untouched row (e.g. a product underflowing to `0.0`), which a
-    /// value patch cannot represent.
+    /// A copy of `self` in which every row `r` for which `replace(r)`
+    /// returns `Some(entries)` is rebuilt from those entries (with the
+    /// rules of [`CsrMatrix::from_row_entries`]), while every other row is
+    /// copied unchanged — the update path for an edit that touches a few
+    /// rows.
     ///
     /// # Panics
-    /// Panics when a `touched` index is out of range as a column index.
-    pub fn splice_from_dense(&self, dense: &Tensor<T>, touched: &[usize]) -> Option<CsrMatrix<T>> {
-        if dense.shape() != self.shape() {
-            return None;
-        }
+    /// Panics like [`CsrMatrix::from_row_entries`] on a replaced row.
+    pub fn with_rows_replaced<I>(&self, mut replace: impl FnMut(usize) -> Option<I>) -> CsrMatrix<T>
+    where
+        I: IntoIterator<Item = (usize, T)>,
+    {
         let mut indptr = Vec::with_capacity(self.rows + 1);
         let mut indices = Vec::with_capacity(self.indices.len());
         let mut values = Vec::with_capacity(self.values.len());
         indptr.push(0);
         for r in 0..self.rows {
-            if touched.contains(&r) {
-                // Recompress the whole row exactly as `from_dense` would.
-                for (c, &v) in dense.row(r).iter().enumerate() {
-                    if v != T::ZERO {
-                        indices.push(c);
-                        values.push(v);
-                    }
-                }
-            } else {
-                let start = indices.len();
-                let (cols, vals) = self.row(r);
-                indices.extend_from_slice(cols);
-                values.extend_from_slice(vals);
-                let row_dense = dense.row(r);
-                for &c in touched {
-                    let v = row_dense[c];
-                    match cols.binary_search(&c) {
-                        Ok(pos) if v != T::ZERO => values[start + pos] = v,
-                        Err(_) if v == T::ZERO => {}
-                        _ => return None,
-                    }
+            match replace(r) {
+                Some(entries) => push_row(&mut indices, &mut values, self.cols, r, entries),
+                None => {
+                    let (cols, vals) = self.row(r);
+                    indices.extend_from_slice(cols);
+                    values.extend_from_slice(vals);
                 }
             }
             indptr.push(indices.len());
         }
-        Some(CsrMatrix {
+        CsrMatrix {
             rows: self.rows,
             cols: self.cols,
             indptr,
             indices,
             values,
-        })
+        }
+    }
+
+    /// Overwrites the stored value at `(r, c)` with `v` and returns
+    /// `true`. Returns `false` and changes nothing when `(r, c)` is not
+    /// stored or `v` is `0.0`: either would change the sparsity structure,
+    /// which only a rebuild can.
+    ///
+    /// # Panics
+    /// Panics when `r >= rows`.
+    pub fn set(&mut self, r: usize, c: usize, v: T) -> bool {
+        let span = self.indptr[r]..self.indptr[r + 1];
+        match self.indices[span.clone()].binary_search(&c) {
+            Ok(pos) if v != T::ZERO => {
+                self.values[span.start + pos] = v;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Expands back to a dense [`Tensor`].
@@ -152,27 +157,12 @@ impl<T: Scalar> CsrMatrix<T> {
     /// can round to `0.0`, so the result is re-compressed to preserve the
     /// no-stored-zeros invariant.
     pub fn cast<U: Scalar>(&self) -> CsrMatrix<U> {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::with_capacity(self.indices.len());
-        let mut values = Vec::with_capacity(self.values.len());
-        indptr.push(0);
-        for r in 0..self.rows {
-            for idx in self.indptr[r]..self.indptr[r + 1] {
-                let v = U::from_f64(self.values[idx].to_f64());
-                if v != U::ZERO {
-                    indices.push(self.indices[idx]);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        }
+        CsrMatrix::from_row_entries(self.rows, self.cols, |r| {
+            let (cols, vals) = self.row(r);
+            cols.iter()
+                .copied()
+                .zip(vals.iter().map(|v| U::from_f64(v.to_f64())))
+        })
     }
 
     /// Row count.
@@ -348,6 +338,37 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
+/// Appends row `r`'s non-zero entries to the CSR arrays under
+/// construction, checking that columns ascend and stay below `cols`.
+#[inline]
+fn push_row<T: Scalar>(
+    indices: &mut Vec<usize>,
+    values: &mut Vec<T>,
+    cols: usize,
+    r: usize,
+    entries: impl IntoIterator<Item = (usize, T)>,
+) {
+    let entries = entries.into_iter();
+    let (lower, upper) = entries.size_hint();
+    indices.reserve(upper.unwrap_or(lower));
+    values.reserve(upper.unwrap_or(lower));
+    let start = indices.len();
+    for (c, v) in entries {
+        if v != T::ZERO {
+            indices.push(c);
+            values.push(v);
+        }
+    }
+    // Checked after the fill, in a pass of its own: inside the fill loop
+    // the check sat behind the data-dependent zero test and cost a third
+    // of `from_dense`'s time.
+    let row = &indices[start..];
+    assert!(
+        row.windows(2).all(|w| w[0] < w[1]) && row.last().map_or(true, |&c| c < cols),
+        "row {r}: columns out of range or out of order"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,60 +475,41 @@ mod tests {
     }
 
     #[test]
-    fn splice_from_dense_matches_from_dense_bitwise() {
-        let mut d = random_sparse(12, 12, 0.3, 41);
-        let old = CsrMatrix::from_dense(&d);
-        // Edit rows/columns 3 and 7: rewrite both full rows and the two
-        // matching columns of every other row (zero ↔ non-zero allowed
-        // inside the touched rows, value-only changes elsewhere).
-        let touched = [3usize, 7];
-        for &t in &touched {
-            for c in 0..12 {
-                d[(t, c)] = if (t + c) % 3 == 0 {
-                    0.0
-                } else {
-                    0.1 * (t + c) as f64
-                };
-            }
-        }
-        for r in 0..12 {
-            if touched.contains(&r) {
-                continue;
-            }
-            for &t in &touched {
-                if d[(r, t)] != 0.0 {
-                    d[(r, t)] *= 1.5;
-                }
-            }
-        }
-        let spliced = old
-            .splice_from_dense(&d, &touched)
-            .expect("structure splice");
-        let fresh = CsrMatrix::from_dense(&d);
-        assert_eq!(spliced, fresh);
-        for (x, y) in spliced.values.iter().zip(&fresh.values) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    fn from_row_entries_drops_zeros_and_rejects_unordered_columns() {
+        let s = CsrMatrix::from_row_entries(2, 3, |r| [(0, r as f64), (1, -0.0), (2, 1.0)]);
+        assert_eq!(s.row(0), (&[2usize][..], &[1.0][..]));
+        assert_eq!(s.row(1), (&[0usize, 2][..], &[1.0, 1.0][..]));
+        let unordered = std::panic::catch_unwind(|| {
+            CsrMatrix::from_row_entries(1, 3, |_| [(2, 1.0), (1, 1.0)])
+        });
+        assert!(unordered.is_err());
+        let out_of_range =
+            std::panic::catch_unwind(|| CsrMatrix::from_row_entries(1, 3, |_| [(3, 1.0)]));
+        assert!(out_of_range.is_err());
     }
 
     #[test]
-    fn splice_from_dense_rejects_structure_change_outside_touched_rows() {
-        let mut d = random_sparse(6, 6, 0.5, 42);
-        d[(1, 4)] = 0.0; // ensure a hole at an untouched row / touched col
-        d[(2, 4)] = 1.0; // ensure an entry at an untouched row / touched col
-        let old = CsrMatrix::from_dense(&d);
-        // Entry appears at (1, 4): row 1 is untouched, col 4 is touched.
-        let mut appear = d.clone();
-        appear[(1, 4)] = 2.0;
-        assert!(old.splice_from_dense(&appear, &[4]).is_none());
-        // Entry vanishes at (2, 4).
-        let mut vanish = d.clone();
-        vanish[(2, 4)] = 0.0;
-        assert!(old.splice_from_dense(&vanish, &[4]).is_none());
-        // Shape mismatch.
-        assert!(old
-            .splice_from_dense(&Tensor::<f64>::zeros(5, 5), &[0])
-            .is_none());
+    fn with_rows_replaced_and_set_keep_the_invariants() {
+        let d = random_sparse(6, 6, 0.5, 43);
+        let s = CsrMatrix::from_dense(&d);
+        // Row 2 rebuilt from new entries, every other row copied.
+        let mut t = s.with_rows_replaced(|r| (r == 2).then_some([(0, 0.0), (4, 3.0)]));
+        let mut expect = d.clone();
+        for c in 0..6 {
+            expect[(2, c)] = if c == 4 { 3.0 } else { 0.0 };
+        }
+        assert_eq!(t, CsrMatrix::from_dense(&expect));
+        // `set` overwrites a stored value, and refuses a structure change.
+        let (cols, _) = t.row(0);
+        let (stored, c0) = (cols[0], (0..6).find(|c| !cols.contains(c)));
+        assert!(t.set(0, stored, 7.0));
+        expect[(0, stored)] = 7.0;
+        assert_eq!(t, CsrMatrix::from_dense(&expect));
+        assert!(!t.set(0, stored, 0.0), "zero would drop an entry");
+        if let Some(c) = c0 {
+            assert!(!t.set(0, c, 1.0), "absent entry would appear");
+        }
+        assert_eq!(t, CsrMatrix::from_dense(&expect));
     }
 
     #[test]

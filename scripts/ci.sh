@@ -11,6 +11,11 @@ cargo fmt --check
 cargo build --release --offline
 cargo test -q --offline
 
+# The benchmark harness is its own package (perfbench/, not a workspace
+# member) with path dependencies on the crates; building and testing it
+# here makes a workspace API change that breaks it fail this gate.
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Broken intra-doc links and missing docs fail tier-1 (hap-tensor,
 # hap-rand and hap-par carry #![deny(missing_docs)]).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
@@ -109,11 +114,22 @@ grep -q '"errors": 0,' "$SERVE_TMP/a.json" || {
   echo "serve smoke run had request errors" >&2
   exit 1
 }
+# Runs agreeing with each other is not enough: a change that alters every
+# body the same way would pass. One replay at loadgen's defaults (1000
+# requests, 4 clients) must reproduce the committed response_hash.
+env -u HAP_THREADS cargo run --release --offline -q -p hap-bench --bin loadgen -- \
+  --out "$SERVE_TMP/e.json"
+hash_e=$(grep -o '"response_hash": "[0-9a-f]*"' "$SERVE_TMP/e.json" | head -1)
+hash_committed=$(grep -o '"response_hash": "[0-9a-f]*"' results/loadgen.json | head -1)
+[ -n "$hash_e" ] && [ "$hash_e" = "$hash_committed" ] || {
+  echo "serve responses differ from results/loadgen.json: $hash_e vs $hash_committed" >&2
+  exit 1
+}
 rm -rf "$SERVE_TMP"
 
 # Streaming updates (ARCHITECTURE.md "Streaming updates"): a graph
 # mutated through Graph::apply must hold bitwise the same cached
-# Â/CSR/WL structures as a from-scratch rebuild — the fuzz differential
+# CSR Â and WL structures as a from-scratch rebuild — the fuzz differential
 # suite pins that at both threading modes, and the serve smoke below
 # replays a deterministic /update + /search stream against the committed
 # snapshot: every update mutates a corpus graph in place (index-slot
@@ -134,6 +150,12 @@ shash_b=$(grep -o '"results_hash": "[0-9a-f]*"' "$STREAM_TMP/b.json")
 shash_c=$(grep -o '"results_hash": "[0-9a-f]*"' "$STREAM_TMP/c.json")
 [ -n "$shash_a" ] && [ "$shash_a" = "$shash_b" ] && [ "$shash_a" = "$shash_c" ] || {
   echo "streaming updates are not deterministic: $shash_a / $shash_b / $shash_c" >&2
+  exit 1
+}
+# The default-settings replay must also reproduce the committed hash.
+shash_committed=$(grep -o '"results_hash": "[0-9a-f]*"' results/stream.json)
+[ "$shash_a" = "$shash_committed" ] || {
+  echo "streaming updates differ from results/stream.json: $shash_a vs $shash_committed" >&2
   exit 1
 }
 grep -q '"errors": 0,' "$STREAM_TMP/a.json" || {
